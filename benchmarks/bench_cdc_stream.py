@@ -5,7 +5,8 @@ dataset through the :mod:`repro.cdc` pipeline and measures the service
 characteristics the subsystem exists for:
 
 * **throughput** — deltas applied per second end-to-end;
-* **latency** — p50/p99 of per-delta apply latency (arrival to applied);
+* **latency** — p50/p99 of per-delta latency (arrival to applied and
+  revalidated);
 * **staleness** — p99 of how far the materialized PG lagged the stream;
 * **revalidation sparsity** — focus nodes rechecked incrementally vs.
   what a full revalidation per batch would have inspected.

@@ -184,16 +184,28 @@ class MemoryChangefeed:
         self._closed = True
         self._readable.set()
 
+    async def get(self, timeout: float | None = None):
+        """The next item, or None once closed and drained.
+
+        With ``timeout`` (seconds) it also returns None when no item
+        arrives in time.  Waiting never takes an item off the queue, so
+        a call that times out or is cancelled loses nothing.
+        """
+        while not self._items:
+            if self._closed:
+                return None
+            self._readable.clear()
+            try:
+                await asyncio.wait_for(self._readable.wait(), timeout)
+            except asyncio.TimeoutError:
+                return None
+        item = self._items.popleft()
+        if not self._maxsize or len(self._items) < self._maxsize:
+            self._writable.set()
+        return item
+
     async def __aiter__(self):
-        while True:
-            while not self._items:
-                if self._closed:
-                    return
-                self._readable.clear()
-                await self._readable.wait()
-            item = self._items.popleft()
-            if not self._maxsize or len(self._items) < self._maxsize:
-                self._writable.set()
+        while (item := await self.get()) is not None:
             yield item
 
 

@@ -47,9 +47,6 @@ from .changefeed import BadDelta, Delta, MemoryChangefeed, delta_to_json
 
 __all__ = ["CDCConfig", "CDCPipeline", "PipelineStats", "replay_deltas"]
 
-_EOF = object()
-
-
 @dataclass
 class CDCConfig:
     """Tunables for one :class:`CDCPipeline`."""
@@ -138,7 +135,7 @@ class CDCPipeline:
         self._m_latency = metrics.histogram(
             "repro_cdc_delta_latency_seconds",
             boundaries=obs.LATENCY_BOUNDARIES,
-            help="end-to-end delta latency (arrival to applied)",
+            help="end-to-end delta latency (arrival to applied + revalidated)",
         )
         self._m_staleness = metrics.gauge(
             "repro_cdc_staleness_seconds",
@@ -257,30 +254,18 @@ class CDCPipeline:
             buffer.close()
 
     async def _drain(self, buffer: MemoryChangefeed) -> None:
-        iterator = buffer.__aiter__()
-        done = False
-        while not done:
-            try:
-                first = await iterator.__anext__()
-            except StopAsyncIteration:
-                break
+        config = self.config
+        while (first := await buffer.get()) is not None:
             batch = [first]
-            deadline = time.monotonic() + self.config.max_linger_s
-            while len(batch) < self.config.max_batch_size:
+            deadline = time.monotonic() + config.max_linger_s
+            while len(batch) < config.max_batch_size:
+                # Take what is buffered; wait for more only until the
+                # linger deadline.  A timed-out wait loses no item.
                 timeout = deadline - time.monotonic()
-                if timeout <= 0 and self.config.max_linger_s > 0:
+                if not len(buffer) and timeout <= 0:
                     break
-                if not len(buffer) and self.config.max_linger_s <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        _anext_or_eof(iterator),
-                        timeout=None if self.config.max_linger_s <= 0 else timeout,
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if item is _EOF:
-                    done = True
+                item = await buffer.get(timeout=max(timeout, 0.0))
+                if item is None:
                     break
                 batch.append(item)
             self._m_queue.set(len(buffer))
@@ -296,7 +281,7 @@ class CDCPipeline:
         with obs.span("cdc.batch", size=len(batch)) as span:
             added_effective = []
             removed_effective = []
-            applied = 0
+            arrivals = []
             for item, arrival in batch:
                 if isinstance(item, BadDelta):
                     self._quarantine(
@@ -314,14 +299,10 @@ class CDCPipeline:
                 added_effective.extend(added)
                 removed_effective.extend(removed)
                 self.watermark = item.seq
-                applied += 1
+                arrivals.append(arrival)
                 self.stats.deltas_applied += 1
                 self._since_checkpoint += 1
                 self._m_deltas.inc(status="applied")
-                latency = time.monotonic() - arrival
-                self._m_latency.observe(latency)
-                if len(self.stats.latencies) < _MAX_SAMPLES:
-                    self.stats.latencies.append(latency)
             if (added_effective or removed_effective) and (
                 config.validate and self.validator is not None
             ):
@@ -345,10 +326,17 @@ class CDCPipeline:
                         (time.perf_counter() - revalidate_start) * 1000.0, 3
                     ),
                 })
+            # A delta's latency runs from arrival until it is applied
+            # *and* revalidated: the standing report reflects it only then.
+            applied = len(arrivals)
             if applied:
-                staleness = time.monotonic() - min(
-                    arrival for _, arrival in batch
-                )
+                now = time.monotonic()
+                for arrival in arrivals:
+                    latency = now - arrival
+                    self._m_latency.observe(latency)
+                    if len(self.stats.latencies) < _MAX_SAMPLES:
+                        self.stats.latencies.append(latency)
+                staleness = now - min(arrival for _, arrival in batch)
                 self._m_staleness.set(staleness)
                 if len(self.stats.staleness) < _MAX_SAMPLES:
                     self.stats.staleness.append(staleness)
@@ -457,13 +445,6 @@ class CDCPipeline:
         self._since_checkpoint = 0
         self.stats.checkpoints += 1
         self._m_checkpoints.inc()
-
-
-async def _anext_or_eof(iterator):
-    try:
-        return await iterator.__anext__()
-    except StopAsyncIteration:
-        return _EOF
 
 
 def replay_deltas(pipeline: CDCPipeline, deltas) -> PipelineStats:

@@ -407,23 +407,13 @@ def cypher_undirected(case: FuzzCase, ctx: OracleContext) -> str | None:
 # Planner differential: all execution strategies == naive evaluation
 # --------------------------------------------------------------------- #
 
-#: The 5-way strategy matrix: planner off, the planner's iterator mode,
-#: vectorized batched mode, adaptive (batched + mid-query re-planning),
-#: and hash joins forced.  Shared by both engines.
+#: The strategy matrix: planner off (the reference), the planner's cost
+#: model, and hash joins forced.  Shared by both engines.
 _PLANNER_STRATEGIES: tuple[tuple[str, dict], ...] = (
     ("planner-off", {"planner": False}),
-    ("iterator", {}),
-    ("batched", {"exec_mode": "batched"}),
-    ("adaptive", {"exec_mode": "adaptive"}),
+    ("planner-on", {}),
     ("hash-forced", {"force_join": "hash"}),
 )
-
-#: Campaign-wide tally of skew seeds whose adaptive run provably
-#: re-planned mid-query (``planner.last_replans`` non-empty).  The
-#: differential test asserts this is non-zero after a campaign, proving
-#: the adaptive arm was exercised through an actual re-plan, not just
-#: the no-trigger fast path.
-REPLAN_TRIGGERS = 0
 
 
 def _bag(rows: list[dict], to_text: Callable[[object], str]) -> list[tuple]:
@@ -441,9 +431,9 @@ def _skewed_rdf(seed: int):
 
     The ``links`` predicate averages ~1.5 objects per subject, but the
     subjects tagged ``"hot"`` are hubs with ``fan`` links each — the
-    per-binding fanout estimate of the second join stage is low by more
-    than the re-plan threshold, so adaptive execution re-plans
-    mid-query.  Deterministic in ``seed``.
+    per-binding fanout estimate of the second join stage is low by an
+    order of magnitude, so the planner's join choices rest on a wrong
+    estimate.  Deterministic in ``seed``.
     """
     import random
 
@@ -506,35 +496,26 @@ def _skewed_pg(seed: int):
 
 
 def _skew_differential(case: FuzzCase) -> str | None:
-    """Adaptive re-planning stays bag-equal on deliberately skewed data."""
-    global REPLAN_TRIGGERS
+    """Every strategy stays bag-equal to the reference on skewed data."""
     graph, sparql = _skewed_rdf(case.seed)
-    reference = _bag(SparqlEngine(graph).query(sparql), str)
-    for tag, kwargs in (("batched", {"exec_mode": "batched"}),
-                        ("adaptive", {"exec_mode": "adaptive"})):
-        engine = SparqlEngine(graph, **kwargs)
-        rows = _bag(engine.query(sparql), str)
-        if rows != reference:
-            return (
-                f"SPARQL {tag} diverges on the skewed catalog for seed "
-                f"{case.seed}: {len(rows)} vs {len(reference)} row(s)"
-            )
-        if tag == "adaptive" and engine.planner.last_replans:
-            REPLAN_TRIGGERS += 1
     pg, cypher = _skewed_pg(case.seed)
     store = PropertyGraphStore(pg)
-    reference = _bag(CypherEngine(store).query(cypher), scalar_to_lexical)
-    for tag, kwargs in (("batched", {"exec_mode": "batched"}),
-                        ("adaptive", {"exec_mode": "adaptive"})):
-        engine = CypherEngine(store, **kwargs)
-        rows = _bag(engine.query(cypher), scalar_to_lexical)
-        if rows != reference:
-            return (
-                f"Cypher {tag} diverges on the skewed catalog for seed "
-                f"{case.seed}: {len(rows)} vs {len(reference)} row(s)"
-            )
-        if tag == "adaptive" and engine.planner.last_replans:
-            REPLAN_TRIGGERS += 1
+    for lang, make, text, to_text in (
+        ("SPARQL", lambda kw: SparqlEngine(graph, **kw), sparql, str),
+        ("Cypher", lambda kw: CypherEngine(store, **kw), cypher,
+         scalar_to_lexical),
+    ):
+        reference = None
+        for tag, kwargs in _PLANNER_STRATEGIES:
+            rows = _bag(make(kwargs).query(text), to_text)
+            if reference is None:
+                reference = rows
+            elif rows != reference:
+                return (
+                    f"{lang} {tag} diverges from planner-off on the skewed "
+                    f"catalog for seed {case.seed}: {len(rows)} vs "
+                    f"{len(reference)} row(s)"
+                )
     return None
 
 
@@ -542,13 +523,13 @@ def planner_differential(case: FuzzCase, ctx: OracleContext) -> str | None:
     """Every execution strategy is result-identical to naive evaluation.
 
     Runs the case's query workload through both engines under the
-    5-way strategy matrix — planner off, iterator, batched, adaptive,
-    hash joins forced — and requires bag-equal results.  The workload
-    is LIMIT-free by construction: LIMIT without ORDER BY may truncate
-    any subset of the answers, so differing-but-correct plans could
-    legitimately disagree.  A deterministic hub-skewed sibling dataset
-    derived from the case seed additionally forces the adaptive mode
-    through actual mid-query re-plans (tallied in REPLAN_TRIGGERS).
+    strategy matrix — planner off, planner on, hash joins forced — and
+    requires bag-equal results.  The workload is LIMIT-free by
+    construction: LIMIT without ORDER BY may truncate any subset of the
+    answers, so differing-but-correct plans could legitimately disagree.
+    A deterministic hub-skewed sibling dataset derived from the case
+    seed additionally runs the matrix on data whose catalog estimates
+    are off by an order of magnitude.
     """
     graph = Graph(case.triples)
     workload = _workload(case)
@@ -765,8 +746,8 @@ ORACLES: dict[str, Oracle] = {
             "planner_differential", ("valid", "noise"),
             planner_differential,
             "every execution strategy returns the naive evaluators' "
-            "answers (both engines, 5-way exec-mode/join matrix, "
-            "incl. skew-forced adaptive re-plans)",
+            "answers (both engines, planner off/on/hash-forced, "
+            "incl. hub-skewed catalogs)",
         ),
         Oracle(
             "ntriples_roundtrip", _RDF_KINDS, ntriples_roundtrip,

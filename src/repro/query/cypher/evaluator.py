@@ -94,8 +94,6 @@ class CypherEngine:
         store: PropertyGraphStore,
         planner: bool = True,
         force_join: str | None = None,
-        exec_mode: str = "iterator",
-        batch_size: int | None = None,
     ):
         self.store = store
         #: Edges considered by pattern expansion in the current query.
@@ -103,17 +101,8 @@ class CypherEngine:
         if planner:
             from ..plan import CypherPlanner
 
-            self.planner = CypherPlanner(
-                store,
-                force_join=force_join,
-                exec_mode=exec_mode,
-                batch_size=batch_size,
-            )
+            self.planner = CypherPlanner(store, force_join=force_join)
         else:
-            if exec_mode != "iterator":
-                raise ValueError(
-                    f"exec_mode {exec_mode!r} requires the planner"
-                )
             self.planner = None
 
     # ------------------------------------------------------------------ #
@@ -321,7 +310,7 @@ class CypherEngine:
     def _batched_return_fast_path(
         self, query: SingleQuery, analyze: bool
     ) -> list[tuple] | None:
-        """MATCH + simple RETURN on the batched planner, fully columnar.
+        """MATCH + simple RETURN on the planner, fully columnar.
 
         When the whole query is one non-optional MATCH (no WHERE)
         returning literals, variables, and property accesses — with
@@ -331,11 +320,7 @@ class CypherEngine:
         generic pipeline (returns None).
         """
         planner = self.planner
-        if (
-            planner is None
-            or getattr(planner, "exec_mode", "iterator") != "batched"
-            or len(query.clauses) != 2
-        ):
+        if planner is None or len(query.clauses) != 2:
             return None
         match, ret = query.clauses
         if (
@@ -367,8 +352,6 @@ class CypherEngine:
             rows = planner.execute_match_projected(
                 match, ret.items, self, analyze
             )
-            if rows is None:
-                return None
             span.set("rows_out", len(rows))
         with obs.span("cypher.return", rows_in=len(rows)) as span:
             for index, descending in reversed(order):

@@ -5,10 +5,12 @@ The package provides, for both engines:
 * statistics catalogs (:mod:`~repro.query.plan.stats`) over the
   incrementally maintained counters of :class:`~repro.rdf.graph.Graph`
   and :class:`~repro.pg.store.PropertyGraphStore`;
-* physical operators behind a small iterator-model interface, with
-  hash joins on shared variables and index scans next to the existing
-  nested-loop strategy (:mod:`~repro.query.plan.sparql_plan`,
+* planners that pick a join order and, per join, a hash join on the
+  shared variables or an index nested-loop probe
+  (:mod:`~repro.query.plan.sparql_plan`,
   :mod:`~repro.query.plan.cypher_plan`);
+* the batched physical operators those plans run on, over columns of
+  interned ids (:mod:`~repro.query.plan.vectorized`);
 * an LRU plan cache keyed by normalized query shape and catalog
   version (:mod:`~repro.query.plan.cache`);
 * ``EXPLAIN`` trees with estimated and actual cardinalities
@@ -35,11 +37,7 @@ from .stats import (
     q_error,
 )
 from .vectorized import (
-    DEFAULT_BATCH_SIZE,
-    EXEC_MODES,
-    REPLAN_THRESHOLD,
-    AdaptiveBGP,
-    AdaptiveMatchPlan,
+    BATCH_SIZE,
     BatchedBGP,
     BatchMatchPlan,
     build_batched_bgp,
@@ -47,20 +45,16 @@ from .vectorized import (
 )
 
 __all__ = [
-    "AdaptiveBGP",
-    "AdaptiveMatchPlan",
+    "BATCH_SIZE",
     "BatchMatchPlan",
     "BatchedBGP",
     "CypherPlanner",
-    "DEFAULT_BATCH_SIZE",
-    "EXEC_MODES",
     "ExplainNode",
     "FeedbackStore",
     "GraphCatalog",
     "PhysicalOperator",
     "PlanCache",
     "Q_ERROR_BOUNDARIES",
-    "REPLAN_THRESHOLD",
     "SeedChoice",
     "SparqlPlanner",
     "StoreCatalog",

@@ -1,10 +1,10 @@
 """EXPLAIN trees: the rendered form of a physical query plan.
 
-Every physical operator (see :mod:`repro.query.plan.sparql_plan` and
-:mod:`repro.query.plan.cypher_plan`) can snapshot itself into an
-:class:`ExplainNode`; the engines wrap the operator tree with nodes for
-the logical tail (filters, projection, DISTINCT, ORDER BY, LIMIT) and
-hand the root to :func:`render_text` / :func:`ExplainNode.to_dict`.
+Every physical operator (see :mod:`repro.query.plan.vectorized`) can
+snapshot itself into an :class:`ExplainNode`; the engines wrap the
+operator tree with nodes for the logical tail (filters, projection,
+DISTINCT, ORDER BY, LIMIT) and hand the root to :func:`render_text` /
+:func:`ExplainNode.to_dict`.
 
 Estimated cardinalities come from the statistics catalog at plan time;
 actual cardinalities are the per-operator row counters of the most

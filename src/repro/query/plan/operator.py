@@ -1,7 +1,7 @@
-"""Shared machinery for iterator-model physical operators.
+"""Shared machinery for the physical operators.
 
-Both planners' operator trees (:mod:`repro.query.plan.sparql_plan`,
-:mod:`repro.query.plan.cypher_plan`) inherit from
+Both planners' operator trees (the batched operators of
+:mod:`repro.query.plan.vectorized`) inherit from
 :class:`PhysicalOperator`, which owns the run-time bookkeeping behind
 ``EXPLAIN`` and ``EXPLAIN ANALYZE``:
 
@@ -10,8 +10,8 @@ Both planners' operator trees (:mod:`repro.query.plan.sparql_plan`,
   (index probes for a bind join, seeded input items for an expansion,
   1 for a one-shot scan or hash build);
 * ``wall_ns`` — inclusive wall time of the subtree, measured only under
-  ``analyze`` by wrapping the operator's iterator so every ``next()``
-  is timed (the Postgres ``actual time`` convention: a parent's time
+  ``analyze`` by wrapping the operator's batch iterator so every
+  ``next()`` is timed (the Postgres ``actual time`` convention: a parent's time
   includes its children's).
 
 Executions go through :meth:`PhysicalOperator.run`, never ``execute``
@@ -30,7 +30,7 @@ __all__ = ["PhysicalOperator"]
 
 
 class PhysicalOperator:
-    """Base class for iterator-model physical operators."""
+    """Base class for physical operators (generators of batches)."""
 
     op = "Operator"
 

@@ -252,7 +252,6 @@ def evaluate(
         planner.last_plan = None
         planner.last_explain = None
         planner.last_cache_hit = None
-        planner.last_replans = []
     start = time.perf_counter()
     with obs.span("sparql.evaluate", patterns=len(query.patterns)) as span:
         rows = _evaluate(graph, query, stats, planner, analyze)
@@ -392,10 +391,6 @@ class SparqlEngine:
             per-binding greedy strategy is used instead).
         force_join: ``"hash"`` / ``"nested"`` forces the planner's join
             operator choice (differential testing).
-        exec_mode: ``"iterator"`` (default), ``"batched"``, or
-            ``"adaptive"`` — the physical execution strategy for basic
-            graph patterns (requires the planner).
-        batch_size: rows per batch for the vectorized modes.
 
     Example:
         >>> engine = SparqlEngine(graph)
@@ -407,24 +402,13 @@ class SparqlEngine:
         graph: Graph,
         planner: bool = True,
         force_join: str | None = None,
-        exec_mode: str = "iterator",
-        batch_size: int | None = None,
     ):
         self.graph = graph
         if planner:
             from ..plan import SparqlPlanner
 
-            self.planner = SparqlPlanner(
-                graph,
-                force_join=force_join,
-                exec_mode=exec_mode,
-                batch_size=batch_size,
-            )
+            self.planner = SparqlPlanner(graph, force_join=force_join)
         else:
-            if exec_mode != "iterator":
-                raise ValueError(
-                    f"exec_mode {exec_mode!r} requires the planner"
-                )
             self.planner = None
 
     def query(self, text: str) -> list[dict[str, Term]]:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,39 @@ class TestBatching:
         assert stats.deltas_applied == 3
         assert stats.batches == 1  # linger absorbed the trickle
 
+    def test_feed_slower_than_linger_applies_every_delta(self):
+        """A linger timeout must not end the stream: every delta of a
+        feed slower than ``max_linger_s`` is applied, and the result is
+        the from-scratch transform."""
+        pipeline, result, graph = make_pipeline(
+            config=CDCConfig(max_batch_size=64, max_linger_s=0.02)
+        )
+        deltas = [
+            Delta(1, added=(ADD_C_TYPE,)),
+            Delta(2, added=(ADD_C_NAME,)),
+            Delta(3, added=(ADD_BC_EDGE,)),
+            Delta(4, removed=(REMOVE_AB_EDGE,)),
+            Delta(5, added=(t('<http://x/c> <http://x/friend> <http://x/a> .'),)),
+        ]
+
+        async def scenario():
+            feed = MemoryChangefeed()
+
+            async def producer():
+                for delta in deltas:
+                    await feed.put(delta)
+                    await asyncio.sleep(0.08)  # 4x the linger window
+                feed.close()
+
+            _, stats = await asyncio.gather(producer(), pipeline.run(feed))
+            return stats
+
+        stats = asyncio.run(scenario())
+        assert stats.deltas_applied == 5
+        assert pipeline.watermark == 5
+        from_scratch = S3PG().transform(graph.copy(), SHAPES)
+        assert result.graph.structurally_equal(from_scratch.graph)
+
     def test_bounded_queue_counts_backpressure(self):
         pipeline, _, _ = make_pipeline(
             config=CDCConfig(max_batch_size=1, max_linger_s=0.0, queue_maxsize=1)
@@ -201,7 +235,37 @@ class TestQuarantine:
         assert stats.deltas_quarantined == 1
 
 
+class _SlowValidator:
+    """Stands in for a DeltaValidator whose revalidation takes ``seconds``."""
+
+    conforms = True
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def apply_delta(self, added, removed) -> int:
+        time.sleep(self.seconds)
+        return 0
+
+
 class TestMetrics:
+    def test_delta_latency_includes_revalidation(self):
+        get_metrics().reset()
+        pipeline, _, _ = make_pipeline(validate=False)
+        pipeline.validator = _SlowValidator(0.05)
+        stats = replay_deltas(pipeline, [
+            Delta(1, added=(ADD_C_TYPE,)),
+            Delta(2, added=(ADD_C_NAME,)),
+        ])
+        assert stats.deltas_applied == 2
+        assert len(stats.latencies) == 2
+        assert min(stats.latencies) >= 0.05
+        latency = get_metrics().snapshot()[
+            "repro_cdc_delta_latency_seconds"
+        ]["series"][0]
+        assert latency["count"] == 2 and latency["sum"] >= 0.1
+        get_metrics().reset()
+
     def test_cdc_metrics_populated(self):
         get_metrics().reset()
         pipeline, _, _ = make_pipeline()

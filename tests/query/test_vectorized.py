@@ -1,10 +1,11 @@
 """Edge cases of the vectorized batch operators.
 
 Each test pins a batch-boundary hazard of
-:mod:`repro.query.plan.vectorized` against the iterator pipeline:
-batches straddling LIMIT, empty batches, OPTIONAL null columns around
-``BatchHashJoin``, self-loops through ``BatchExpand``, and a batch-size
-sweep asserting identical bags at sizes 1, 2, and 1024.
+:mod:`repro.query.plan.vectorized` against the naive (``planner=False``)
+evaluators: batches straddling LIMIT, empty batches, OPTIONAL null
+columns around ``BatchHashJoin``, self-loops through ``BatchExpand``,
+and a batch-size sweep (``BATCH_SIZE`` monkeypatched) asserting
+identical bags at sizes 1, 2, and 1024.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from repro.eval.metrics import normalize_cypher_rows, normalize_sparql_rows
 from repro.pg.model import PropertyGraph
 from repro.pg.store import PropertyGraphStore
 from repro.query.cypher.evaluator import CypherEngine
+from repro.query.plan import vectorized
 from repro.query.sparql.evaluator import SparqlEngine
 from repro.rdf.graph import Graph, Triple
 from repro.rdf.terms import IRI, Literal
 from repro.storage.postings import IntPostings
 
 EX = "http://ex/"
-EXEC_MODES = ("iterator", "batched", "adaptive")
 
 
 def _person_graph(n: int = 50) -> Graph:
@@ -51,25 +52,28 @@ def _pg() -> PropertyGraph:
 
 def _sparql_bags(graph, query, **kwargs):
     return {
-        mode: normalize_sparql_rows(
-            SparqlEngine(graph, exec_mode=mode, **kwargs).query(query)
-        )
-        for mode in EXEC_MODES
+        "reference": normalize_sparql_rows(
+            SparqlEngine(graph, planner=False).query(query)
+        ),
+        "batched": normalize_sparql_rows(
+            SparqlEngine(graph, **kwargs).query(query)
+        ),
     }
 
 
 def _cypher_bags(store, query, **kwargs):
     return {
-        mode: normalize_cypher_rows(
-            CypherEngine(store, exec_mode=mode, **kwargs).query(query)
-        )
-        for mode in EXEC_MODES
+        "reference": normalize_cypher_rows(
+            CypherEngine(store, planner=False).query(query)
+        ),
+        "batched": normalize_cypher_rows(
+            CypherEngine(store, **kwargs).query(query)
+        ),
     }
 
 
 def _assert_modes_agree(bags, query):
-    for mode, rows in bags.items():
-        assert rows == bags["iterator"], (query, mode)
+    assert bags["batched"] == bags["reference"], query
 
 
 # --------------------------------------------------------------------- #
@@ -78,7 +82,7 @@ def _assert_modes_agree(bags, query):
 
 @pytest.mark.parametrize("batch_size", [1, 2, 7, 1024])
 @pytest.mark.parametrize("limit", [1, 7, 8, 9, 49, 200])
-def test_sparql_limit_straddles_batches(batch_size, limit):
+def test_sparql_limit_straddles_batches(batch_size, limit, monkeypatch):
     """ORDER BY + LIMIT must cut at the same rows regardless of how the
     result bag was chunked into batches (including limits equal to, one
     below, and one past a batch boundary)."""
@@ -87,23 +91,21 @@ def test_sparql_limit_straddles_batches(batch_size, limit):
         f"SELECT ?s ?n WHERE {{ ?s a <{EX}Person> . ?s <{EX}name> ?n . }} "
         f"ORDER BY ?n LIMIT {limit}"
     )
-    expected = SparqlEngine(g).query(q)
-    for mode in ("batched", "adaptive"):
-        got = SparqlEngine(g, exec_mode=mode, batch_size=batch_size).query(q)
-        assert [r["n"].lexical for r in got] == [r["n"].lexical for r in expected]
+    expected = SparqlEngine(g, planner=False).query(q)
+    monkeypatch.setattr(vectorized, "BATCH_SIZE", batch_size)
+    got = SparqlEngine(g).query(q)
+    assert [r["n"].lexical for r in got] == [r["n"].lexical for r in expected]
 
 
 @pytest.mark.parametrize("limit", [1, 5, 30, 99])
-def test_cypher_limit_straddles_batches(limit):
+def test_cypher_limit_straddles_batches(limit, monkeypatch):
     store = PropertyGraphStore(_pg())
     q = f"MATCH (a:Person) RETURN a.name ORDER BY a.name LIMIT {limit}"
-    expected = CypherEngine(store).query(q)
+    expected = CypherEngine(store, planner=False).query(q)
     for batch_size in (1, 2, 1024):
-        for mode in ("batched", "adaptive"):
-            got = CypherEngine(
-                store, exec_mode=mode, batch_size=batch_size
-            ).query(q)
-            assert got == expected, (mode, batch_size)
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", batch_size)
+        got = CypherEngine(store).query(q)
+        assert got == expected, batch_size
 
 
 # --------------------------------------------------------------------- #
@@ -122,7 +124,7 @@ def test_empty_results_all_modes():
     ]
     for q in sparql:
         bags = _sparql_bags(g, q)
-        assert not bags["iterator"]
+        assert not bags["reference"]
         _assert_modes_agree(bags, q)
     cypher = [
         "MATCH (a:Ghost) RETURN a.name",
@@ -131,7 +133,7 @@ def test_empty_results_all_modes():
     ]
     for q in cypher:
         bags = _cypher_bags(store, q)
-        assert not bags["iterator"]
+        assert not bags["reference"]
         _assert_modes_agree(bags, q)
 
 
@@ -151,8 +153,8 @@ def test_empty_graph_all_modes():
 def test_optional_null_shared_var_through_batched_join():
     """OPTIONAL MATCH binds some rows to null; a later MATCH sharing the
     variable must treat null as unbound (rebind), which a hash-join key
-    cannot express — every exec mode must take the correlated fallback
-    and agree with the iterator, even with hash joins forced."""
+    cannot express — the planner must take the correlated fallback and
+    agree with the reference, even with hash joins forced."""
     pg = _pg()
     pg.add_node("lonely", {"Person"}, {"name": "zz"})  # no KNOWS edges
     store = PropertyGraphStore(pg)
@@ -163,16 +165,15 @@ def test_optional_null_shared_var_through_batched_join():
         "RETURN a.name, b.name, c.name"
     )
     bags = _cypher_bags(store, q)
-    assert bags["iterator"], "query must return rows for the check to bite"
+    assert bags["reference"], "query must return rows for the check to bite"
     _assert_modes_agree(bags, q)
     forced = _cypher_bags(store, q, force_join="hash")
     _assert_modes_agree(forced, q)
-    assert forced["batched"] == bags["iterator"]
 
 
 def test_optional_rows_survive_batched_bgp():
     """OPTIONAL groups run downstream of the batched BGP; unmatched rows
-    keep their null extension in every mode."""
+    keep their null extension."""
     g = _person_graph(10)
     g.add(Triple(IRI(EX + "p/3"), IRI(EX + "nick"), Literal("trey")))
     q = (
@@ -180,7 +181,7 @@ def test_optional_rows_survive_batched_bgp():
         f"OPTIONAL {{ ?s <{EX}nick> ?k . }} }}"
     )
     bags = _sparql_bags(g, q)
-    assert any("k" in row for row in SparqlEngine(g).query(q))
+    assert any("k" in row for row in SparqlEngine(g, planner=False).query(q))
     _assert_modes_agree(bags, q)
 
 
@@ -200,7 +201,7 @@ def test_self_loops_directed_and_undirected():
     ]
     for q in queries:
         bags = _cypher_bags(store, q)
-        assert bags["iterator"], q
+        assert bags["reference"], q
         _assert_modes_agree(bags, q)
 
 
@@ -210,7 +211,7 @@ def test_rel_var_equals_node_var_is_empty():
     store = PropertyGraphStore(_pg())
     q = "MATCH (a:Person)-[x:KNOWS]->(x) RETURN a.name"
     _assert_modes_agree(_cypher_bags(store, q), q)
-    assert CypherEngine(store, exec_mode="batched").query(q) == []
+    assert CypherEngine(store).query(q) == []
 
 
 # --------------------------------------------------------------------- #
@@ -218,7 +219,7 @@ def test_rel_var_equals_node_var_is_empty():
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("batch_size", [1, 2, 1024])
-def test_batch_size_sweep_sparql(batch_size):
+def test_batch_size_sweep_sparql(batch_size, monkeypatch):
     g = _person_graph()
     queries = [
         f"SELECT ?s ?n WHERE {{ ?s a <{EX}Person> . ?s <{EX}name> ?n . }}",
@@ -226,30 +227,22 @@ def test_batch_size_sweep_sparql(batch_size):
         f"SELECT ?x WHERE {{ ?x <{EX}knows> ?x . }}",
         f"SELECT ?s ?p ?o WHERE {{ ?s ?p ?o . }}",
     ]
+    monkeypatch.setattr(vectorized, "BATCH_SIZE", batch_size)
     for q in queries:
-        expected = normalize_sparql_rows(SparqlEngine(g).query(q))
-        for mode in ("batched", "adaptive"):
-            engine = SparqlEngine(g, exec_mode=mode, batch_size=batch_size)
-            assert normalize_sparql_rows(engine.query(q)) == expected, (
-                mode, batch_size, q,
-            )
+        _assert_modes_agree(_sparql_bags(g, q), q)
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 1024])
-def test_batch_size_sweep_cypher(batch_size):
+def test_batch_size_sweep_cypher(batch_size, monkeypatch):
     store = PropertyGraphStore(_pg())
     queries = [
         "MATCH (a:Person)-[:KNOWS]->(b) RETURN a.name, b.name",
         "MATCH (a)-[:KNOWS]->(b)-[:KNOWS]->(c) RETURN a.name, c.name",
         "MATCH (a:Person {age: 3}) RETURN a.name",
     ]
+    monkeypatch.setattr(vectorized, "BATCH_SIZE", batch_size)
     for q in queries:
-        expected = normalize_cypher_rows(CypherEngine(store).query(q))
-        for mode in ("batched", "adaptive"):
-            engine = CypherEngine(store, exec_mode=mode, batch_size=batch_size)
-            assert normalize_cypher_rows(engine.query(q)) == expected, (
-                mode, batch_size, q,
-            )
+        _assert_modes_agree(_cypher_bags(store, q), q)
 
 
 # --------------------------------------------------------------------- #
@@ -279,15 +272,7 @@ def test_store_endpoint_arrays_track_version():
     assert {names.value(i) for i in node_ids} == set(pg.nodes)
 
 
-def test_exec_mode_requires_planner():
-    g = Graph()
-    with pytest.raises(ValueError):
-        SparqlEngine(g, planner=False, exec_mode="batched")
-    with pytest.raises(ValueError):
-        CypherEngine(
-            PropertyGraphStore(PropertyGraph()),
-            planner=False,
-            exec_mode="adaptive",
-        )
-    with pytest.raises(ValueError):
-        SparqlEngine(g, exec_mode="turbo")
+def test_exec_mode_knob_is_gone():
+    """Batched is the only planned executor: there is no mode to pick."""
+    with pytest.raises(TypeError):
+        SparqlEngine(Graph(), exec_mode="batched")
