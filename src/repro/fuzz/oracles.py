@@ -707,6 +707,57 @@ def cdc_equivalence(case: FuzzCase, ctx: OracleContext) -> str | None:
     return None
 
 
+def _reference_snapshot(schema, graph: Graph) -> dict[str, list[str]]:
+    """``DeltaValidator.snapshot()`` by its definition: every focus node
+    checked on its own by ``ShaclValidator._check_entity(..., memo={})``,
+    with no verdict shared between focus nodes."""
+    from ..shacl.validator import ShaclValidator, ValidationReport
+
+    validator = ShaclValidator(schema)
+    targets = schema.target_classes()
+    focus = {
+        entity
+        for cls in targets
+        for entity in graph.instances_of(IRI(cls))
+    }
+    snapshot: dict[str, list[str]] = {}
+    for entity in focus:
+        shapes = sorted({
+            targets[t.value] for t in graph.types_of(entity)
+            if t.value in targets
+        })
+        violations: list[str] = []
+        for shape_name in shapes:
+            report = ValidationReport(conforms=True)
+            validator._check_entity(graph, entity, shape_name, report, {})
+            violations.extend(str(v) for v in report.violations)
+        snapshot[str(entity)] = sorted(violations)
+    return snapshot
+
+
+def revalidation_reference(case: FuzzCase, ctx: OracleContext) -> str | None:
+    """The standing ``DeltaValidator`` report, with its shared verdict
+    cache, equals the per-focus fresh-memo reference after the build and
+    after every delta of the history."""
+    from ..shacl.validator import DeltaValidator
+
+    base, deltas, _ = _cdc_history(case)
+    graph = Graph(base)
+    validator = DeltaValidator(case.schema, graph)
+    if validator.snapshot() != _reference_snapshot(case.schema, graph):
+        return "DeltaValidator build differs from the fresh-memo reference"
+    for delta in deltas:
+        removed = [t for t in delta.removed if graph.remove(t)]
+        added = [t for t in delta.added if graph.add(t)]
+        validator.apply_delta(added=added, removed=removed)
+        if validator.snapshot() != _reference_snapshot(case.schema, graph):
+            return (
+                f"standing report differs from the fresh-memo reference "
+                f"after delta {delta.seq}"
+            )
+    return None
+
+
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
@@ -785,6 +836,11 @@ ORACLES: dict[str, Oracle] = {
             "cdc_equivalence", _RDF_KINDS, cdc_equivalence,
             "streamed deltas land on the from-scratch transform, with "
             "store catalogs and the standing SHACL report exact",
+        ),
+        Oracle(
+            "revalidation_reference", _RDF_KINDS, revalidation_reference,
+            "the standing DeltaValidator report (shared nested verdicts) "
+            "equals per-focus fresh-memo checks after every delta",
         ),
     )
 }

@@ -414,6 +414,35 @@ class Graph:
         for i in bucket:
             yield term(i)
 
+    def referrers(
+        self, seeds: Iterable[Subject], predicates: Iterable[IRI]
+    ) -> set[Subject]:
+        """``seeds`` plus every subject that reaches one of them through a
+        chain of ``predicates`` edges (reverse reachability).
+
+        The walk runs on interned ids over the POS rows of ``predicates``;
+        only the final set is decoded back to terms.
+        """
+        lookup = self._terms.lookup
+        pos = self._pos
+        rows = [pos[pi] for pi in map(lookup, predicates) if pi in pos]
+        result = set(seeds)
+        seen = {si for si in map(lookup, result) if si is not None}
+        frontier = list(seen)
+        while frontier:
+            node = frontier.pop()
+            for row in rows:
+                subjects = row.get(node)
+                if subjects is None:
+                    continue
+                for si in subjects:
+                    if si not in seen:
+                        seen.add(si)
+                        frontier.append(si)
+        term = self._terms.term
+        result.update(term(si) for si in seen)
+        return result
+
     def value(self, s: Subject, p: IRI) -> Object | None:
         """Return an arbitrary single object of ``(s, p, ·)``, or None."""
         for o in self.objects(s, p):

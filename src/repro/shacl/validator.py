@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from .. import obs
 from ..namespaces import RDF_TYPE, RDFS
 from ..rdf.graph import Graph
-from ..rdf.terms import IRI, BlankNode, Literal, Object, Subject, Triple
+from ..rdf.terms import IRI, Literal, Object, Subject, Triple
 from .model import (
     ClassType,
     LiteralType,
@@ -246,15 +246,24 @@ class ShaclValidator:
                     nested = self.schema.shape_for_class(vt.cls)
                     if nested is None:
                         return True
-                    sub_report = ValidationReport(conforms=True)
-                    if self._check_entity(graph, value, nested.name, sub_report, memo):
+                    if self._check_nested(graph, value, nested.name, memo):
                         return True
             elif isinstance(vt, NodeShapeRef):
                 if isinstance(value, IRI) and vt.shape in self.schema:
-                    sub_report = ValidationReport(conforms=True)
-                    if self._check_entity(graph, value, vt.shape, sub_report, memo):
+                    if self._check_nested(graph, value, vt.shape, memo):
                         return True
         return False
+
+    def _check_nested(
+        self,
+        graph: Graph,
+        value: IRI,
+        shape_name: str,
+        memo: dict[tuple[Subject, str], bool],
+    ) -> bool:
+        """Conformance of a referenced value; its violations stay unreported."""
+        sub_report = ValidationReport(conforms=True)
+        return self._check_entity(graph, value, shape_name, sub_report, memo)
 
     def _record(
         self,
@@ -281,6 +290,76 @@ def validate(graph: Graph, schema: ShapeSchema) -> ValidationReport:
     return ShaclValidator(schema).validate(graph)
 
 
+class _SharedVerdicts(ShaclValidator):
+    """A :class:`ShaclValidator` whose nested checks share verdicts across roots.
+
+    :attr:`verdicts` holds the nested-conformance verdicts that rest on no
+    cycle assumption: the DFS below them met no ``(entity, shape)`` still
+    in progress and no per-root memo entry settled on such an assumption.
+    Every memo entry that does rest on the optimistic cycle assumption
+    stays in the per-root memo, exactly as in :meth:`ShaclValidator._check_entity`.
+    """
+
+    def __init__(self, schema: ShapeSchema, max_violations: int):
+        super().__init__(schema, max_violations)
+        #: Entity -> shape name -> assumption-free nested verdict.
+        self.verdicts: dict[Subject, dict[str, bool]] = {}
+        #: Per-root memo hits so far: a DFS rests on an assumption iff
+        #: this count grew while it ran.
+        self._assumptions = 0
+        #: Nested checks computed / answered from :attr:`verdicts`.
+        self.nested_checks = 0
+        self.cache_hits = 0
+
+    def check_focus(
+        self, graph: Graph, entity: Subject, shape_name: str, report: ValidationReport
+    ) -> None:
+        """Check one focus node with a fresh memo; its own check always runs."""
+        since = self._assumptions
+        ok = self._check_entity(graph, entity, shape_name, report, {})
+        if self._assumption_free(since):
+            self.verdicts.setdefault(entity, {})[shape_name] = ok
+
+    def forget(self, entities: Iterable[Subject]) -> None:
+        """Drop every verdict of ``entities``."""
+        verdicts = self.verdicts
+        for entity in entities:
+            verdicts.pop(entity, None)
+
+    def _check_nested(
+        self,
+        graph: Graph,
+        value: IRI,
+        shape_name: str,
+        memo: dict[tuple[Subject, str], bool],
+    ) -> bool:
+        key = (value, shape_name)
+        provisional = memo.get(key)
+        if provisional is not None:
+            # In progress, or settled while something was: the caller's
+            # verdict rests on the optimistic assumption too.
+            self._assumptions += 1
+            return provisional
+        shared = self.verdicts.get(value)
+        if shared is not None:
+            verdict = shared.get(shape_name)
+            if verdict is not None:
+                self.cache_hits += 1
+                return verdict
+        self.nested_checks += 1
+        since = self._assumptions
+        sub_report = ValidationReport(conforms=True)
+        ok = self._check_entity(graph, value, shape_name, sub_report, memo)
+        if self._assumption_free(since):
+            del memo[key]
+            self.verdicts.setdefault(value, {})[shape_name] = ok
+        return ok
+
+    def _assumption_free(self, since: int) -> bool:
+        """True when no per-root memo entry was consulted since ``since``."""
+        return self._assumptions == since
+
+
 class DeltaValidator:
     """Delta-scoped SHACL revalidation with a standing conformance report.
 
@@ -305,11 +384,24 @@ class DeltaValidator:
     ``rdfs:subClassOf`` taxonomy invalidates class membership globally
     and falls back to a full rebuild.
 
-    Every focus node is checked with a fresh memo, which makes its
-    violation list independent of the order entities are (re)checked —
-    the standing report after any delta sequence is therefore *equal* to
-    the report a freshly built :class:`DeltaValidator` produces on the
-    final graph, and its ``conforms`` flag matches
+    Every focus node's own check runs with a fresh memo, as in
+    ``ShaclValidator._check_entity(..., memo={})``.  Its nested
+    ``sh:class``/``sh:node`` checks consult one verdict cache,
+    ``(entity, shape) -> bool``, shared by every focus check and by
+    :meth:`rebuild`.  Only *assumption-free* verdicts enter it: those
+    whose DFS met no ``(entity, shape)`` still in progress and no memo
+    entry that itself rests on one.  Cyclic references are broken by
+    optimistically assuming conformance; a verdict resting on that
+    assumption depends on where the DFS entered the cycle, so it stays
+    in the per-root memo.  An assumption-free verdict is a function of
+    the graph alone — every fresh-memo check reaches the same value
+    wherever it meets the pair — so each focus node's violation list is
+    still independent of the order entities are (re)checked.  Before a
+    recheck, the verdicts of every affected entity are dropped: that set
+    holds every entity whose nested verdict can change.  A rebuild drops
+    them all.  The standing report after any delta sequence is therefore
+    *equal* to the report a freshly built :class:`DeltaValidator`
+    produces on the final graph, and its ``conforms`` flag matches
     :meth:`ShaclValidator.validate`.
 
     Args:
@@ -327,7 +419,7 @@ class DeltaValidator:
     ):
         self.schema = schema
         self.graph = graph
-        self._validator = ShaclValidator(schema, max_violations)
+        self._validator = _SharedVerdicts(schema, max_violations)
         self._targets = schema.target_classes()
         self._reference_paths = self._compute_reference_paths()
         #: Focus entity -> violations of all shapes targeting its types.
@@ -338,18 +430,24 @@ class DeltaValidator:
         self.total_rechecked = 0
         self.rebuild()
 
-    def _compute_reference_paths(self) -> frozenset[str]:
+    def _compute_reference_paths(self) -> tuple[IRI, ...]:
         paths: set[str] = set()
         for shape in self.schema:
             for phi in self.schema.effective_property_shapes(shape.name):
                 if any(not vt.is_literal() for vt in phi.value_types):
                     paths.add(phi.path)
-        return frozenset(paths)
+        return tuple(IRI(path) for path in sorted(paths))
+
+    @property
+    def total_nested_checks(self) -> int:
+        """Cumulative nested ``sh:class``/``sh:node`` checks computed."""
+        return self._validator.nested_checks
 
     # ------------------------------------------------------------------ #
 
     def rebuild(self) -> None:
         """Recompute the standing report from scratch (full validation)."""
+        self._validator.verdicts.clear()
         self._entries = {}
         checked = 0
         for entity in self._targeted_entities():
@@ -378,7 +476,7 @@ class DeltaValidator:
         violations: list[Violation] = []
         for shape_name in self._shapes_for(entity):
             report = ValidationReport(conforms=True)
-            self._validator._check_entity(self.graph, entity, shape_name, report, {})
+            self._validator.check_focus(self.graph, entity, shape_name, report)
             violations.extend(report.violations)
         return tuple(violations)
 
@@ -395,42 +493,31 @@ class DeltaValidator:
         """
         added = tuple(added)
         removed = tuple(removed)
-        if any(t.p == _SUBCLASS_OF for t in (*added, *removed)):
-            # Subclass-axiom changes shift class membership for every
-            # ``sh:class`` check; delta scoping is unsound here.
-            self.rebuild()
-            return self.last_rechecked
-        affected = self._affected_entities(added, removed)
-        checked = 0
-        for entity in affected:
-            shapes = self._shapes_for(entity)
-            if not shapes:
-                self._entries.pop(entity, None)
-                continue
-            self._entries[entity] = self._check(entity)
-            checked += 1
-        self.last_rechecked = checked
-        self.total_rechecked += checked
-        return checked
-
-    def _affected_entities(
-        self,
-        added: tuple[Triple, ...],
-        removed: tuple[Triple, ...],
-    ) -> set[Subject]:
-        seeds: set[Subject] = {t.s for t in (*added, *removed)}
-        affected = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            node = frontier.pop()
-            if not isinstance(node, (IRI, BlankNode)):
-                continue
-            for path in self._reference_paths:
-                for referrer in self.graph.subjects(IRI(path), node):
-                    if referrer not in affected:
-                        affected.add(referrer)
-                        frontier.append(referrer)
-        return affected
+        cache = self._validator
+        nested, hits = cache.nested_checks, cache.cache_hits
+        with obs.span("shacl.revalidate") as span:
+            if any(t.p == _SUBCLASS_OF for t in (*added, *removed)):
+                # Subclass-axiom changes shift class membership for every
+                # ``sh:class`` check; delta scoping is unsound here.
+                self.rebuild()
+            else:
+                seeds = {t.s for t in (*added, *removed)}
+                affected = self.graph.referrers(seeds, self._reference_paths)
+                # Every cached verdict the delta can change is one of these.
+                cache.forget(affected)
+                checked = 0
+                for entity in affected:
+                    if not self._shapes_for(entity):
+                        self._entries.pop(entity, None)
+                        continue
+                    self._entries[entity] = self._check(entity)
+                    checked += 1
+                self.last_rechecked = checked
+                self.total_rechecked += checked
+            span.set("rechecked", self.last_rechecked)
+            span.set("nested_checks", cache.nested_checks - nested)
+            span.set("cache_hits", cache.cache_hits - hits)
+        return self.last_rechecked
 
     # ------------------------------------------------------------------ #
 

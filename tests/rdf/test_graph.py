@@ -137,6 +137,31 @@ class TestAccessors:
         assert Literal("Alice") in graph.object_set()
 
 
+class TestReferrers:
+    def test_transitive_reverse_reachability(self, graph):
+        assert graph.referrers({iri("carol")}, [iri("knows")]) == {
+            iri("alice"), iri("bob"), iri("carol"),
+        }
+
+    def test_only_the_given_predicates_are_followed(self, graph):
+        graph.add(t("dave", "likes", "bob"))
+        assert graph.referrers({iri("bob")}, [iri("knows")]) == {
+            iri("alice"), iri("bob"),
+        }
+        assert graph.referrers({iri("bob")}, [iri("likes"), iri("missing")]) == {
+            iri("bob"), iri("dave"),
+        }
+
+    def test_cycles_terminate(self, graph):
+        graph.add(t("carol", "knows", "alice"))
+        assert graph.referrers({iri("alice")}, [iri("knows")]) == {
+            iri("alice"), iri("bob"), iri("carol"),
+        }
+
+    def test_unknown_seeds_are_kept(self, graph):
+        assert graph.referrers({iri("nobody")}, [iri("knows")]) == {iri("nobody")}
+
+
 class TestTyping:
     def test_types_of(self, graph):
         assert graph.types_of(iri("alice")) == {iri("Person")}
