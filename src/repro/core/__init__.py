@@ -38,7 +38,7 @@ from .mapping import (
 from .g2gml import render_g2gml
 from .naming import NameResolver, sanitize, type_name_for
 from .optimize import OptimizationStats, OptimizedGraph, optimize
-from .pipeline import S3PG, TransformResult, transform, transform_file_parallel
+from .pipeline import S3PG, TransformResult, transform
 from .schema_evolution import (
     SchemaDeltaStats,
     SchemaEvolutionConflict,
@@ -104,7 +104,6 @@ __all__ = [
     "transform",
     "transform_data",
     "transform_file",
-    "transform_file_parallel",
     "transform_schema",
     "type_name_for",
 ]

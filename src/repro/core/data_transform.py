@@ -277,8 +277,7 @@ class DataTransformer:
             rel_type = prop.rel_type or self.registry.fallback_property(
                 triple.p.value
             ).rel_type
-            target_id = self._entity_target_node(pg, obj, entity_types, stats)
-            self._add_edge(pg, subject_node.id, rel_type, target_id, stats)
+            self._add_edge(pg, subject_node.id, rel_type, node_id_for(obj), stats)
             return
         # Lines 21-23: parsimonious key/value storage for single-valued
         # literal properties.  The literal must carry the datatype the
@@ -307,22 +306,6 @@ class DataTransformer:
         else:
             target_id = self._resource_node(pg, obj, stats)
         self._add_edge(pg, subject_node.id, rel_type, target_id, stats)
-
-    def _entity_target_node(
-        self,
-        pg: PropertyGraph,
-        obj: Subject,
-        entity_types: dict[Subject, list[IRI]],
-        stats: DataTransformStats,
-    ) -> str:
-        """The node id an entity-valued object's edge points at.
-
-        Phase 1 has already created nodes for all typed entities, so the
-        base implementation only computes the id.  The parallel engine's
-        shard transformer overrides this to materialize nodes for
-        entities whose ``rdf:type`` statements live in another shard.
-        """
-        return node_id_for(obj)
 
     def _subject_node(
         self, pg: PropertyGraph, subject: Subject, stats: DataTransformStats

@@ -1,5 +1,9 @@
 """Tests for the end-to-end S3PG pipeline API."""
 
+import importlib.util
+
+import pytest
+
 from repro import DEFAULT_OPTIONS, MONOTONE_OPTIONS, S3PG, transform
 from repro.pgschema import check_conformance
 from repro.pg import PropertyGraphStore
@@ -53,3 +57,12 @@ class TestTransformApi:
 
     def test_default_options_are_parsimonious(self):
         assert DEFAULT_OPTIONS.parsimonious and not MONOTONE_OPTIONS.parsimonious
+
+
+def test_parallel_knob_is_gone(uni_graph, uni_shapes):
+    """The serial DataTransformer is the only data-transform path."""
+    with pytest.raises(TypeError):
+        transform(uni_graph, uni_shapes, parallel=2)
+    with pytest.raises(TypeError):
+        S3PG().transform(uni_graph, uni_shapes, parallel=2)
+    assert importlib.util.find_spec("repro.engine") is None

@@ -183,7 +183,6 @@ def test_fuzz_oracle_campaign():
         cases=400,
         oracle_names=["planner_differential"],
         corpus_dir=None,
-        parallel_every=0,
     )
     assert report.ok, report.failures
     # Each oracle run exercises both engines, so >= 150 runs means

@@ -168,6 +168,18 @@ class TestErrors:
         assert main(["stats", str(bad)]) == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["transform", "data.nt", "--workers", "2"],
+        ["profile", "data.nt", "--workers", "2"],
+        ["fuzz", "--parallel-every", "5"],
+    ])
+    def test_parallel_engine_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestToRdfAndCompact:
     def _transform(self, data_file, shapes_file, tmp_path, extra=()):
         out = tmp_path / "pgout"
